@@ -421,6 +421,134 @@ let test_proof_deletion_mutants_rejected () =
       (Rup.failure_to_string fl)
   | Ok _ -> Alcotest.fail "unknown deletion must be rejected"
 
+(* ---------- checker edge cases, pinned step by step ---------- *)
+
+(* A replay's verdict as one comparable string: how many steps it admitted
+   and whether it reached a root contradiction, or why it stopped. *)
+let replay f steps =
+  match Rup.check f steps with
+  | Ok v ->
+    Printf.sprintf "ok %d%s" v.Rup.steps_checked
+      (if v.Rup.contradiction then " contradiction" else "")
+  | Error fl -> Rup.failure_to_string fl
+
+let fresh_lits f n = List.init n (fun _ -> Lit.pos (Formula.fresh_var f))
+
+(* A repeated literal is one more occurrence: the learned clause is checked
+   as the set it denotes, it propagates inside a later RUP check, and a
+   [Delete] of the set removes it with every occurrence. *)
+let test_proof_duplicate_literal () =
+  let f = Formula.create () in
+  let x, y, z, w =
+    match fresh_lits f 4 with
+    | [ x; y; z; w ] -> (x, y, z, w)
+    | _ -> assert false
+  in
+  Formula.add_clause f [ x; y; z ];
+  Formula.add_clause f [ x; y; Lit.negate z ];
+  Formula.add_clause f [ Lit.negate y; w ];
+  Formula.add_clause f [ Lit.negate y; Lit.negate w ];
+  check Alcotest.string "x alone is not RUP"
+    "step 0 is not derivable by unit propagation"
+    (replay f [ Proof.Learn [ x ] ]);
+  check Alcotest.string "the duplicated clause makes x RUP" "ok 2"
+    (replay f [ Proof.Learn [ x; x; y ]; Proof.Learn [ x ] ]);
+  check Alcotest.string "a non-RUP duplicated clause is rejected"
+    "step 0 is not derivable by unit propagation"
+    (replay f [ Proof.Learn [ z; z ] ]);
+  check Alcotest.string "deleting the set removes every occurrence"
+    "step 2 is not derivable by unit propagation"
+    (replay f
+       [ Proof.Learn [ x; x; y ]; Proof.Delete [ y; x ]; Proof.Learn [ x ] ])
+
+(* A tautology is trivially entailed; it joins the database, never
+   propagates, and can be deleted again. *)
+let test_proof_tautological_learn () =
+  let f, a, b = refutable_formula () in
+  let taut = [ b; Lit.negate b ] in
+  check Alcotest.string "tautology admitted, refutation unchanged"
+    "ok 3 contradiction"
+    (replay f
+       [ Proof.Learn taut; Proof.Learn [ Lit.negate a ]; Proof.Contradiction ]);
+  check Alcotest.string "tautology deleted again" "ok 2"
+    (replay f [ Proof.Learn taut; Proof.Delete (List.rev taut) ]);
+  check Alcotest.string "a tautology never learned cannot be deleted"
+    "step 0 deletes a clause that is not in the database"
+    (replay f [ Proof.Delete taut ])
+
+(* [a|b|c] and [a|b|~c] entail [a|b]; once both are deleted, [a|b] lives
+   only as the learned copies the steps below add and remove. *)
+let learned_copies_formula () =
+  let f = Formula.create () in
+  match fresh_lits f 4 with
+  | [ a; b; c; d ] ->
+    Formula.add_clause f [ a; b; c ];
+    Formula.add_clause f [ a; b; Lit.negate c ];
+    let drop_parents =
+      [ Proof.Delete [ a; b; c ]; Proof.Delete [ a; b; Lit.negate c ] ]
+    in
+    (f, a, b, d, drop_parents)
+  | _ -> assert false
+
+let test_proof_learned_twice_deleted_once () =
+  let f, a, b, d, drop_parents = learned_copies_formula () in
+  let ab = [ a; b ] in
+  let prefix =
+    [ Proof.Learn ab; Proof.Learn ab ] @ drop_parents @ [ Proof.Delete ab ]
+  in
+  check Alcotest.string "the second copy stays live" "ok 7"
+    (replay f
+       (prefix
+       @ [
+           Proof.Learn [ a; b; d ];
+           Proof.Eliminate { pivot = a; witness = [ ab ] };
+         ]));
+  check Alcotest.string "deleting the second copy removes the clause"
+    "step 6 is not derivable by unit propagation"
+    (replay f (prefix @ [ Proof.Delete ab; Proof.Learn [ a; b; d ] ]));
+  check Alcotest.string "no third copy to delete"
+    "step 6 deletes a clause that is not in the database"
+    (replay f (prefix @ [ Proof.Delete ab; Proof.Delete ab ]))
+
+let test_proof_deleted_then_relearned () =
+  let f, a, b, d, drop_parents = learned_copies_formula () in
+  let ab = [ a; b ] in
+  let prefix =
+    [ Proof.Learn ab; Proof.Delete ab; Proof.Learn ab ] @ drop_parents
+  in
+  check Alcotest.string "the re-learned clause is live" "ok 7"
+    (replay f
+       (prefix
+       @ [
+           Proof.Learn [ a; b; d ];
+           Proof.Eliminate { pivot = b; witness = [ ab ] };
+         ]));
+  check Alcotest.string "the deleted copy does not count twice"
+    "step 6 deletes a clause that is not in the database"
+    (replay f (prefix @ [ Proof.Delete ab; Proof.Delete ab ]))
+
+(* drat-trim convention: deleting a clause does not retract the root
+   assignments it already forced *)
+let test_proof_deleted_unit_stays () =
+  let f = Formula.create () in
+  match fresh_lits f 3 with
+  | [ a; b; c ] ->
+    Formula.add_clause f [ Lit.negate a; b ];
+    Formula.add_clause f [ Lit.negate a; Lit.negate b ];
+    Formula.add_clause f [ a; c ];
+    let drop_parents =
+      [ Proof.Delete [ Lit.negate a; b ]; Proof.Delete [ Lit.negate a; Lit.negate b ] ]
+    in
+    check Alcotest.string "the forced units outlive the unit clause" "ok 5"
+      (replay f
+         ((Proof.Learn [ Lit.negate a ] :: Proof.Delete [ Lit.negate a ]
+          :: drop_parents)
+         @ [ Proof.Learn [ c ] ]));
+    check Alcotest.string "without the unit, c is not RUP"
+      "step 2 is not derivable by unit propagation"
+      (replay f (drop_parents @ [ Proof.Learn [ c ] ]))
+  | _ -> assert false
+
 (* ---------- inprocessing proof steps and their mutants ---------- *)
 
 (* A formula shaped like what the inprocessing ladder emits proof steps
@@ -732,6 +860,16 @@ let () =
             test_proof_non_rup_clause_rejected;
           Alcotest.test_case "deletion mutants rejected" `Quick
             test_proof_deletion_mutants_rejected;
+          Alcotest.test_case "duplicate literal in a learn" `Quick
+            test_proof_duplicate_literal;
+          Alcotest.test_case "tautological learn" `Quick
+            test_proof_tautological_learn;
+          Alcotest.test_case "learned twice, deleted once" `Quick
+            test_proof_learned_twice_deleted_once;
+          Alcotest.test_case "deleted, then re-learned" `Quick
+            test_proof_deleted_then_relearned;
+          Alcotest.test_case "deleted unit stays" `Quick
+            test_proof_deleted_unit_stays;
           Alcotest.test_case "substitute step mutants rejected" `Quick
             test_proof_substitute_mutants;
           Alcotest.test_case "eliminate step mutants rejected" `Quick

@@ -269,6 +269,40 @@ let test_opb_output () =
   check Alcotest.bool "has min line" true (contains_sub text "min:");
   check Alcotest.bool "has constraint" true (contains_sub text ">= 2")
 
+(* The writer's bytes are pinned: checkpoint, cube and session digests hash
+   [opb_string], so any change to its output invalidates stored state. *)
+let test_opb_golden () =
+  let f = Formula.create () in
+  let xs = Formula.fresh_vars f 4 in
+  Formula.add_clause f [ Lit.pos xs.(0); Lit.neg xs.(1); Lit.pos xs.(3) ];
+  Formula.add_clause f [ Lit.neg xs.(2) ];
+  Formula.add_pb_ge f
+    [ (3, Lit.pos xs.(0)); (2, Lit.neg xs.(2)); (1, Lit.pos xs.(3)) ]
+    4;
+  Formula.set_objective_min f
+    [ (2, Lit.pos xs.(1)); (1, Lit.neg xs.(3)); (-1, Lit.pos xs.(2)) ];
+  let golden =
+    "* #variable= 4 #constraint= 3\n\
+     min: +2 x2 +1 ~x4 -1 x3 ;\n\
+     +1 x1 +1 ~x2 +1 x4 >= 1 ;\n\
+     +1 ~x3 >= 1 ;\n\
+     +3 x1 +2 ~x3 +1 x4 >= 4 ;\n"
+  in
+  check Alcotest.string "pinned text" golden (Output.opb_string f);
+  check Alcotest.string "reparsed text prints the same" golden
+    (Output.opb_string (Output.parse_opb golden));
+  let g =
+    Lazy.force (Colib_graph.Benchmarks.find "queen5_5").Colib_graph.Benchmarks.graph
+  in
+  let enc = Colib_encode.Encoding.encode g ~k:20 in
+  Colib_encode.Sbp.add Colib_encode.Sbp.Sc enc;
+  let text = Output.opb_string enc.Colib_encode.Encoding.formula in
+  check Alcotest.string "queen5_5 K=20 SC digest"
+    "4e0cbbecb4ca6456cdcaaee7dc5d679d"
+    (Digest.to_hex (Digest.string text));
+  check Alcotest.bool "queen5_5 reparsed prints the same" true
+    (Output.opb_string (Output.parse_opb text) = text)
+
 let test_opb_roundtrip () =
   let f = Formula.create () in
   let xs = Formula.fresh_vars f 4 in
@@ -371,6 +405,7 @@ let () =
           Alcotest.test_case "dimacs roundtrip" `Quick test_dimacs_cnf_roundtrip;
           Alcotest.test_case "dimacs rejects PB" `Quick test_dimacs_rejects_pb;
           Alcotest.test_case "opb" `Quick test_opb_output;
+          Alcotest.test_case "opb golden" `Quick test_opb_golden;
           Alcotest.test_case "opb roundtrip" `Quick test_opb_roundtrip;
           Alcotest.test_case "opb relations" `Quick test_opb_parse_relations;
           Alcotest.test_case "opb malformed" `Quick test_opb_malformed;
