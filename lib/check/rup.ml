@@ -40,17 +40,15 @@ type verdict = {
 
 (* --- checker state ---------------------------------------------------- *)
 (* Counting-based propagation in the GRASP style, deliberately different
-   from the engine's two-watched-literal scheme: every clause keeps a
-   counter of falsified literal occurrences, maintained eagerly on assign
-   and undo.  A clause is only scanned when its counter says it has gone
-   unit or empty, so long learned clauses cost O(1) per falsification
-   instead of a full re-scan.  Simpler, eager, independently written. *)
-
-type ccls = {
-  c_lits : int array;
-  mutable c_alive : bool;
-  mutable c_nfalse : int;  (* falsified occurrences under the current trail *)
-}
+   from the engine's two-watched-literal scheme: every clause keeps a count
+   of its non-false literal occurrences, maintained eagerly on assign and
+   undo. A clause is pushed on the pending-unit stack when its count drops
+   to 1 and flags a conflict when it drops to 0, so it is only scanned once
+   it has gone unit, and long learned clauses cost O(1) per falsification.
+   The layout is flat: clauses are ids into growable arrays (literals,
+   counts, alive flags in [Bytes]), each literal's occurrences are a
+   growable [int array] of clause ids, and [Delete] detaches a clause from
+   those arrays. Simpler, eager, independently written. *)
 
 type cpb = {
   p_coefs : int array;
@@ -66,29 +64,47 @@ type state = {
   value : int array;   (* by variable: -1 undef / 0 false / 1 true *)
   trail : int array;   (* assigned literal indices, chronological *)
   mutable trail_size : int;
-  mutable qhead : int;
-  cls_occ : ccls list array;     (* by literal: clauses containing it *)
+  mutable qhead : int;  (* next trail literal whose PBs are unvisited *)
+  mutable nclauses : int;
+  mutable lits : int array array;  (* by clause id *)
+  mutable count : int array;  (* by clause id: non-false occurrences *)
+  mutable alive : Bytes.t;  (* by clause id *)
+  mutable units : int array;  (* pending: clause ids whose count reached 1 *)
+  mutable nunits : int;
+  mutable conflict : bool;  (* some live clause has count 0 *)
+  occ : int array array;  (* by literal: ids of the live clauses holding it *)
+  occ_len : int array;
   pb_occ : (cpb * int) list array;  (* by literal: PBs containing it *)
-  index : (int list, ccls list ref) Hashtbl.t;  (* sorted lits -> clauses *)
+  index : (int list, int list ref) Hashtbl.t;  (* sorted lits -> clause ids *)
   mutable contra : bool;
 }
 
-let ivar l = l / 2
-let icompl l = if l mod 2 = 0 then l + 1 else l - 1
+let ivar l = l lsr 1
+let icompl l = l lxor 1
 
 let lit_val st l =
   let a = st.value.(ivar l) in
-  if a < 0 then -1 else if l mod 2 = 0 then a else 1 - a
+  if a < 0 then -1 else a lxor (l land 1)
 
 let assign st l =
-  st.value.(ivar l) <- (if l mod 2 = 0 then 1 else 0);
+  st.value.(ivar l) <- 1 - (l land 1);
   st.trail.(st.trail_size) <- l;
   st.trail_size <- st.trail_size + 1;
   (* the complement just became false: constraints holding it lose slack,
-     clauses holding it gain a falsified occurrence *)
+     clauses holding it lose a non-false occurrence *)
   let fl = icompl l in
   List.iter (fun (pb, coef) -> pb.p_slack <- pb.p_slack - coef) st.pb_occ.(fl);
-  List.iter (fun c -> c.c_nfalse <- c.c_nfalse + 1) st.cls_occ.(fl)
+  let ids = st.occ.(fl) in
+  for i = 0 to st.occ_len.(fl) - 1 do
+    let c = ids.(i) in
+    let n = st.count.(c) - 1 in
+    st.count.(c) <- n;
+    if n = 1 then begin
+      st.units.(st.nunits) <- c;
+      st.nunits <- st.nunits + 1
+    end
+    else if n = 0 then st.conflict <- true
+  done
 
 let undo_to st mark =
   while st.trail_size > mark do
@@ -98,81 +114,95 @@ let undo_to st mark =
     List.iter
       (fun (pb, coef) -> pb.p_slack <- pb.p_slack + coef)
       st.pb_occ.(fl);
-    List.iter (fun c -> c.c_nfalse <- c.c_nfalse - 1) st.cls_occ.(fl);
+    let ids = st.occ.(fl) in
+    for i = 0 to st.occ_len.(fl) - 1 do
+      let c = ids.(i) in
+      st.count.(c) <- st.count.(c) + 1
+    done;
     st.value.(ivar l) <- -1
   done;
-  st.qhead <- mark
+  st.qhead <- mark;
+  st.nunits <- 0;
+  st.conflict <- false
 
-(* Propagate to fixpoint; [true] on conflict. *)
+(* Propagate to fixpoint; [true] on conflict. Pending units come first:
+   exactly one occurrence of each is non-false, and unless it already
+   satisfies the clause it is forced. *)
 let propagate st =
-  let conflict = ref false in
-  while (not !conflict) && st.qhead < st.trail_size do
-    let p = st.trail.(st.qhead) in
-    st.qhead <- st.qhead + 1;
-    let falsified = icompl p in
-    List.iter
-      (fun c ->
-        if c.c_alive && not !conflict then begin
-          let n = Array.length c.c_lits in
-          if c.c_nfalse >= n then conflict := true
-          else if c.c_nfalse = n - 1 then begin
-            (* exactly one occurrence is non-false: find it and, unless it
-               already satisfies the clause, it is forced *)
-            let j = ref 0 in
-            while lit_val st c.c_lits.(!j) = 0 do
-              incr j
-            done;
-            let l = c.c_lits.(!j) in
-            if lit_val st l = -1 then assign st l
-          end
-        end)
-      st.cls_occ.(falsified);
-    if not !conflict then
+  while (not st.conflict) && (st.nunits > 0 || st.qhead < st.trail_size) do
+    if st.nunits > 0 then begin
+      st.nunits <- st.nunits - 1;
+      let ls = st.lits.(st.units.(st.nunits)) in
+      let j = ref 0 in
+      while lit_val st ls.(!j) = 0 do
+        incr j
+      done;
+      if lit_val st ls.(!j) = -1 then assign st ls.(!j)
+    end
+    else begin
+      let p = st.trail.(st.qhead) in
+      st.qhead <- st.qhead + 1;
       List.iter
         (fun (pb, _) ->
-          if !conflict then ()
-          else if pb.p_slack < 0 then conflict := true
+          if st.conflict then ()
+          else if pb.p_slack < 0 then st.conflict <- true
           else
             Array.iteri
               (fun i l ->
                 if pb.p_coefs.(i) > pb.p_slack && lit_val st l = -1 then
                   assign st l)
               pb.p_lits)
-        st.pb_occ.(falsified)
+        st.pb_occ.(icompl p)
+    end
   done;
-  !conflict
+  st.nunits <- 0;
+  st.conflict
 
 let clause_key lits = List.sort_uniq compare (Array.to_list lits)
 
+(* [a] with room for index [n] *)
+let grow a n fill =
+  if n < Array.length a then a
+  else begin
+    let b = Array.make (max 4 (2 * n)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
 (* Permanently add a clause, then establish its root-level consequences. *)
 let add_clause_perm st lits =
-  let c = { c_lits = lits; c_alive = true; c_nfalse = 0 } in
+  let c = st.nclauses in
+  st.nclauses <- c + 1;
+  st.lits <- grow st.lits c [||];
+  st.count <- grow st.count c 0;
+  st.units <- grow st.units c 0;
+  if c >= Bytes.length st.alive then
+    st.alive <- Bytes.extend st.alive 0 (Bytes.length st.alive + 1);
+  st.lits.(c) <- lits;
+  Bytes.set st.alive c '\001';
+  let n = ref 0 and sat = ref false and unit_lit = ref (-1) in
   Array.iter
-    (fun l -> if lit_val st l = 0 then c.c_nfalse <- c.c_nfalse + 1)
+    (fun l ->
+      let ids = grow st.occ.(l) st.occ_len.(l) 0 in
+      ids.(st.occ_len.(l)) <- c;
+      st.occ.(l) <- ids;
+      st.occ_len.(l) <- st.occ_len.(l) + 1;
+      match lit_val st l with
+      | 0 -> ()
+      | v ->
+        incr n;
+        if v = 1 then sat := true else unit_lit := l)
     lits;
-  Array.iter (fun l -> st.cls_occ.(l) <- c :: st.cls_occ.(l)) lits;
-  let key = clause_key lits in
-  (match Hashtbl.find_opt st.index key with
+  st.count.(c) <- !n;
+  (match Hashtbl.find_opt st.index (clause_key lits) with
   | Some r -> r := c :: !r
-  | None -> Hashtbl.add st.index key (ref [ c ]));
-  if not st.contra then begin
-    let sat = ref false and unit_lit = ref (-1) and undef = ref 0 in
-    Array.iter
-      (fun l ->
-        match lit_val st l with
-        | 1 -> sat := true
-        | -1 ->
-          incr undef;
-          unit_lit := l
-        | _ -> ())
-      lits;
-    if not !sat then
-      if !undef = 0 then st.contra <- true
-      else if !undef = 1 then begin
-        assign st !unit_lit;
-        if propagate st then st.contra <- true
-      end
-  end
+  | None -> Hashtbl.add st.index (clause_key lits) (ref [ c ]));
+  if not (st.contra || !sat) then
+    if !n = 0 then st.contra <- true
+    else if !n = 1 then begin
+      assign st !unit_lit;
+      if propagate st then st.contra <- true
+    end
 
 (* Permanently add a PB constraint (root level). *)
 let add_pb_perm st (p : Pbc.t) =
@@ -206,7 +236,15 @@ let init f =
       trail = Array.make (max nvars 1) 0;
       trail_size = 0;
       qhead = 0;
-      cls_occ = Array.make (2 * max nvars 1) [];
+      nclauses = 0;
+      lits = [||];
+      count = [||];
+      alive = Bytes.empty;
+      units = [||];
+      nunits = 0;
+      conflict = false;
+      occ = Array.make (2 * max nvars 1) [||];
+      occ_len = Array.make (2 * max nvars 1) 0;
       pb_occ = Array.make (2 * max nvars 1) [];
       index = Hashtbl.create 256;
       contra = Formula.trivially_unsat f;
@@ -242,16 +280,29 @@ let rup_ok st lits =
   undo_to st mark;
   ok
 
+let is_alive st c = Bytes.get st.alive c <> '\000'
+
 let do_delete st ~step lits =
   match Hashtbl.find_opt st.index (clause_key lits) with
   | None -> Error (Unknown_deletion step)
   | Some r -> (
-    match List.find_opt (fun c -> c.c_alive) !r with
+    match List.find_opt (is_alive st) !r with
     | None -> Error (Unknown_deletion step)
     | Some c ->
-      (* deactivation only: root assignments this clause already forced
-         stay on the trail, the drat-trim convention for deleted units *)
-      c.c_alive <- false;
+      (* detach from every occurrence array (most recent ids sit last); root
+         assignments this clause already forced stay on the trail, the
+         drat-trim convention for deleted units *)
+      Bytes.set st.alive c '\000';
+      Array.iter
+        (fun l ->
+          let ids = st.occ.(l) and last = st.occ_len.(l) - 1 in
+          let i = ref last in
+          while ids.(!i) <> c do
+            decr i
+          done;
+          ids.(!i) <- ids.(last);
+          st.occ_len.(l) <- last)
+        st.lits.(c);
       Ok ())
 
 (* Equivalent-literal substitution: the map is only admitted if both
@@ -311,7 +362,7 @@ let do_eliminate st ~step pivot witness =
           Error (Bad_witness (step, "witness clause misses the pivot"))
         else (
           match Hashtbl.find_opt st.index (clause_key arr) with
-          | Some r when List.exists (fun c -> c.c_alive) !r -> go rest
+          | Some r when List.exists (is_alive st) !r -> go rest
           | _ -> Error (Bad_witness (step, "witness clause is not live")))
     in
     go witness

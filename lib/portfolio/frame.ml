@@ -46,32 +46,36 @@ type state =
 type decoder = {
   buf : Buffer.t;
   mutable st : state;
+  mutable frame_len : int;  (* header + payload, 0 until the length is read *)
 }
 
-let decoder () = { buf = Buffer.create 256; st = Awaiting }
+let decoder () = { buf = Buffer.create 256; st = Awaiting; frame_len = 0 }
 
 let state d = d.st
 let bytes_received d = Buffer.length d.buf
 
 (* validate as early as the available prefix allows, so 64 bytes of garbage
-   fail on the magic rather than waiting for a length that never arrives *)
+   fail on the magic rather than waiting for a length that never arrives;
+   the header is parsed once, and the payload copied out once complete *)
 let advance d =
-  let s = Buffer.contents d.buf in
-  let n = String.length s in
-  let prefix = min n 4 in
-  if String.sub s 0 prefix <> String.sub magic 0 prefix then
-    d.st <- Failed Bad_magic
-  else if n >= 5 && Char.code s.[4] <> protocol_version then
-    d.st <- Failed (Bad_version (Char.code s.[4]))
-  else if n >= 9 then begin
-    let len = Int32.to_int (String.get_int32_be s 5) in
-    if len < 0 || len > max_payload then d.st <- Failed (Bad_length len)
-    else if n >= header_len + len then begin
-      let sum = String.get_int64_be s 9 in
-      let payload = String.sub s header_len len in
-      if fnv1a payload <> sum then d.st <- Failed Bad_checksum
-      else d.st <- Got payload
+  let n = Buffer.length d.buf in
+  if d.frame_len = 0 then begin
+    let prefix = min n 4 in
+    if Buffer.sub d.buf 0 prefix <> String.sub magic 0 prefix then
+      d.st <- Failed Bad_magic
+    else if n >= 5 && Char.code (Buffer.nth d.buf 4) <> protocol_version then
+      d.st <- Failed (Bad_version (Char.code (Buffer.nth d.buf 4)))
+    else if n >= 9 then begin
+      let len = Int32.to_int (String.get_int32_be (Buffer.sub d.buf 5 4) 0) in
+      if len < 0 || len > max_payload then d.st <- Failed (Bad_length len)
+      else d.frame_len <- header_len + len
     end
+  end;
+  if d.frame_len > 0 && n >= d.frame_len then begin
+    let sum = String.get_int64_be (Buffer.sub d.buf 9 8) 0 in
+    let payload = Buffer.sub d.buf header_len (d.frame_len - header_len) in
+    if fnv1a payload <> sum then d.st <- Failed Bad_checksum
+    else d.st <- Got payload
   end
 
 let feed d buf n =
@@ -90,14 +94,14 @@ let feed d buf n =
    visible as [Got] without another [feed]. *)
 let reset d =
   (match d.st with
-  | Got payload ->
-    let consumed = header_len + String.length payload in
-    let s = Buffer.contents d.buf in
+  | Got _ ->
+    let n = Buffer.length d.buf in
+    let surplus = Buffer.sub d.buf d.frame_len (n - d.frame_len) in
     Buffer.clear d.buf;
-    let n = String.length s in
-    if n > consumed then Buffer.add_substring d.buf s consumed (n - consumed)
+    Buffer.add_string d.buf surplus
   | Awaiting | Failed _ -> Buffer.clear d.buf);
   d.st <- Awaiting;
+  d.frame_len <- 0;
   if Buffer.length d.buf > 0 then advance d
 
 (* ------------------------------------------------------------------ *)
@@ -177,16 +181,22 @@ let read_error_to_string = function
   | Read_frame e -> "garbage frame: " ^ error_to_string e
   | Read_failed m -> "read error: " ^ m
 
+(* Reads the header, then exactly the payload it announces, and never past
+   the frame: bytes behind it (a reply sent right after an [Accepted]) stay
+   in the socket for the next call. *)
 let read_frame ?(deadline = infinity) fd =
   arm_deadline fd deadline;
   let d = decoder () in
   let buf = Bytes.create 65536 in
   let rec go () =
+    let missing =
+      (if d.frame_len = 0 then header_len else d.frame_len) - bytes_received d
+    in
     match state d with
     | Got payload -> Ok payload
     | Failed e -> Error (Read_frame e)
     | Awaiting -> (
-      match Unix.read fd buf 0 (Bytes.length buf) with
+      match Unix.read fd buf 0 (min (Bytes.length buf) missing) with
       | 0 -> Error (Read_closed (bytes_received d))
       | n ->
         feed d buf n;

@@ -158,6 +158,11 @@ let child_main (task : 'a task) ~import_r wfd : 'b =
   | Some mb -> ignore (set_memory_limit_mb mb : bool)
   | None -> ());
   let send (reply : 'a reply) =
+    (* a worker scripted to die mid-solve dies even when its search beat
+       the timer: the supervisor sees the SIGKILL, never a reply *)
+    (match task.fault with
+    | Some (Chaos.Kill_mid_solve _) -> Unix.kill (Unix.getpid ()) Sys.sigkill
+    | _ -> ());
     write_all wfd (Frame.encode (Marshal.to_string reply []))
   in
   (match task.fault with

@@ -1,136 +1,136 @@
-let to_dimacs_cnf ppf f =
+let add_int b n = Buffer.add_string b (string_of_int n)
+
+let dimacs_cnf_string f =
   if Formula.num_pbs f > 0 then
-    invalid_arg "Output.to_dimacs_cnf: formula has PB constraints";
+    invalid_arg "Output.dimacs_cnf_string: formula has PB constraints";
   if Formula.objective f <> None then
-    invalid_arg "Output.to_dimacs_cnf: formula has an objective";
-  Format.fprintf ppf "p cnf %d %d\n" (Formula.num_vars f)
-    (Formula.num_clauses f);
+    invalid_arg "Output.dimacs_cnf_string: formula has an objective";
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "p cnf %d %d\n" (Formula.num_vars f) (Formula.num_clauses f);
   Formula.iter_clauses
     (fun c ->
-      Clause.iter (fun l -> Format.fprintf ppf "%d " (Lit.to_dimacs l)) c;
-      Format.fprintf ppf "0\n")
-    f
+      Clause.iter
+        (fun l ->
+          add_int b (Lit.to_dimacs l);
+          Buffer.add_char b ' ')
+        c;
+      Buffer.add_string b "0\n")
+    f;
+  Buffer.contents b
 
-let opb_lit ppf l =
-  if Lit.sign l then Format.fprintf ppf "x%d" (Lit.var l + 1)
-  else Format.fprintf ppf "~x%d" (Lit.var l + 1)
+(* one OPB term, "%+d x%d " or "%+d ~x%d " *)
+let add_term b c l =
+  if c >= 0 then Buffer.add_char b '+';
+  add_int b c;
+  Buffer.add_string b (if Lit.sign l then " x" else " ~x");
+  add_int b (Lit.var l + 1);
+  Buffer.add_char b ' '
 
-let opb_term ppf (c, l) = Format.fprintf ppf "%+d %a " c opb_lit l
-
-let to_opb ppf f =
-  Format.fprintf ppf "* #variable= %d #constraint= %d\n" (Formula.num_vars f)
+let opb_string f =
+  let b = Buffer.create 65536 in
+  Printf.bprintf b "* #variable= %d #constraint= %d\n" (Formula.num_vars f)
     (Formula.num_clauses f + Formula.num_pbs f);
   (match Formula.objective f with
   | None -> ()
   | Some terms ->
-    Format.fprintf ppf "min: ";
-    List.iter (opb_term ppf) terms;
-    Format.fprintf ppf ";\n");
+    Buffer.add_string b "min: ";
+    List.iter (fun (c, l) -> add_term b c l) terms;
+    Buffer.add_string b ";\n");
   Formula.iter_clauses
     (fun c ->
-      Clause.iter (fun l -> opb_term ppf (1, l)) c;
-      Format.fprintf ppf ">= 1 ;\n")
+      Clause.iter (add_term b 1) c;
+      Buffer.add_string b ">= 1 ;\n")
     f;
   Formula.iter_pbs
     (fun pb ->
-      Array.iteri
-        (fun i l -> opb_term ppf (pb.Pbc.coefs.(i), l))
-        pb.Pbc.lits;
-      Format.fprintf ppf ">= %d ;\n" pb.Pbc.bound)
-    f
+      Array.iteri (fun i l -> add_term b pb.Pbc.coefs.(i) l) pb.Pbc.lits;
+      Printf.bprintf b ">= %d ;\n" pb.Pbc.bound)
+    f;
+  Buffer.contents b
 
-let with_buffer emit f =
-  let buf = Buffer.create 4096 in
-  let ppf = Format.formatter_of_buffer buf in
-  emit ppf f;
-  Format.pp_print_flush ppf ();
-  Buffer.contents buf
+let to_opb ppf f = Format.pp_print_string ppf (opb_string f)
 
-let dimacs_cnf_string f = with_buffer to_dimacs_cnf f
-let opb_string f = with_buffer to_opb f
-
+(* One pass over the text. Tokens end at blanks or ';', which closes a
+   statement; a '*' where a token would start comments out its line. *)
 let parse_opb text =
   let f = Formula.create () in
-  let ensure_vars n =
-    while Formula.num_vars f < n do
-      ignore (Formula.fresh_var f)
-    done
-  in
-  let parse_literal tok =
-    let negated = String.length tok > 0 && tok.[0] = '~' in
-    let tok = if negated then String.sub tok 1 (String.length tok - 1) else tok in
-    if String.length tok < 2 || tok.[0] <> 'x' then
-      failwith ("parse_opb: bad literal " ^ tok);
-    match int_of_string_opt (String.sub tok 1 (String.length tok - 1)) with
-    | Some i when i >= 1 ->
-      ensure_vars i;
-      if negated then Lit.neg (i - 1) else Lit.pos (i - 1)
-    | _ -> failwith ("parse_opb: bad literal " ^ tok)
-  in
-  (* a statement is everything up to ';' *)
-  let handle_statement stmt =
-    let stmt = String.trim stmt in
-    if stmt = "" then ()
-    else begin
-      let is_objective =
-        String.length stmt >= 4 && String.sub stmt 0 4 = "min:"
-      in
-      let body =
-        if is_objective then String.sub stmt 4 (String.length stmt - 4)
-        else stmt
-      in
-      let tokens =
-        String.split_on_char ' ' body
-        |> List.concat_map (String.split_on_char '\t')
-        |> List.concat_map (String.split_on_char '\n')
-        |> List.filter (( <> ) "")
-      in
-      (* split off the relation and bound for constraints *)
-      let rec split_relation acc = function
-        | [ rel; bound ] when rel = ">=" || rel = "<=" || rel = "=" ->
-          (List.rev acc, Some (rel, bound))
-        | tok :: rest -> split_relation (tok :: acc) rest
-        | [] -> (List.rev acc, None)
-      in
-      let term_tokens, relation =
-        if is_objective then (tokens, None) else split_relation [] tokens
-      in
-      let rec parse_terms acc = function
-        | [] -> List.rev acc
-        | coef :: lit :: rest -> (
-          match int_of_string_opt coef with
-          | Some c -> parse_terms ((c, parse_literal lit) :: acc) rest
-          | None -> failwith ("parse_opb: bad coefficient " ^ coef))
-        | [ tok ] -> failwith ("parse_opb: dangling token " ^ tok)
-      in
-      let terms = parse_terms [] term_tokens in
-      if is_objective then Formula.set_objective_min f terms
-      else
-        match relation with
-        | Some (">=", b) -> (
-          match int_of_string_opt b with
-          | Some b -> Formula.add_pb_ge f terms b
-          | None -> failwith "parse_opb: bad bound")
-        | Some ("<=", b) -> (
-          match int_of_string_opt b with
-          | Some b -> Formula.add_pb_le f terms b
-          | None -> failwith "parse_opb: bad bound")
-        | Some ("=", b) -> (
-          match int_of_string_opt b with
-          | Some b -> Formula.add_pb_eq f terms b
-          | None -> failwith "parse_opb: bad bound")
-        | _ -> failwith "parse_opb: missing relation"
+  let n = String.length text and pos = ref 0 in
+  let blank = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false in
+  let rec skip () =
+    while !pos < n && blank text.[!pos] do
+      incr pos
+    done;
+    if !pos < n && text.[!pos] = '*' then begin
+      pos := Option.value (String.index_from_opt text !pos '\n') ~default:n;
+      skip ()
     end
   in
-  (* strip comment lines, then split on ';' *)
-  let code =
-    String.split_on_char '\n' text
-    |> List.filter (fun line ->
-           let line = String.trim line in
-           line = "" || line.[0] <> '*')
-    |> String.concat "\n"
+  (* the next token; "" at ';' or the end *)
+  let token () =
+    skip ();
+    let s = !pos in
+    while !pos < n && not (blank text.[!pos] || text.[!pos] = ';') do
+      incr pos
+    done;
+    String.sub text s (!pos - s)
   in
-  String.split_on_char ';' code |> List.iter handle_statement;
+  let int_of what tok =
+    match int_of_string_opt tok with
+    | Some i -> i
+    | None -> failwith (Printf.sprintf "parse_opb: %s %S" what tok)
+  in
+  let literal tok =
+    let neg = String.starts_with ~prefix:"~" tok in
+    let x = if neg then String.sub tok 1 (String.length tok - 1) else tok in
+    let i =
+      if String.starts_with ~prefix:"x" x then
+        int_of "bad literal" (String.sub x 1 (String.length x - 1))
+      else 0
+    in
+    if i < 1 then failwith ("parse_opb: bad literal " ^ tok);
+    while Formula.num_vars f < i do
+      ignore (Formula.fresh_var f)
+    done;
+    if neg then Lit.neg (i - 1) else Lit.pos (i - 1)
+  in
+  let end_statement () =
+    match token () with
+    | "" -> if !pos < n then incr pos
+    | tok -> failwith ("parse_opb: trailing token " ^ tok)
+  in
+  (* [terms] in reverse; [clause] while every coefficient is 1 *)
+  let rec body ~objective terms clause =
+    match token () with
+    | "" when objective ->
+      Formula.set_objective_min f (List.rev terms);
+      end_statement ()
+    | "" -> failwith "parse_opb: missing relation"
+    | (">=" | "<=" | "=") as rel when not objective ->
+      let b = int_of "bad bound" (token ()) in
+      (match rel with
+      | ">=" when clause && b = 1 -> Formula.add_clause f (List.map snd terms)
+      | ">=" -> Formula.add_pb_ge f (List.rev terms) b
+      | "<=" -> Formula.add_pb_le f (List.rev terms) b
+      | _ -> Formula.add_pb_eq f (List.rev terms) b);
+      end_statement ()
+    | tok ->
+      let c = int_of "bad coefficient" tok in
+      let l = literal (token ()) in
+      body ~objective ((c, l) :: terms) (clause && c = 1)
+  in
+  let rec statements () =
+    skip ();
+    if !pos < n then begin
+      if text.[!pos] = ';' then incr pos
+      else begin
+        let objective = n - !pos >= 4 && String.sub text !pos 4 = "min:" in
+        if objective then pos := !pos + 4;
+        body ~objective [] true
+      end;
+      statements ()
+    end
+  in
+  statements ();
   f
 
 let parse_dimacs_cnf text =

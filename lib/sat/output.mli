@@ -1,21 +1,23 @@
-(** Emitters for standard solver interchange formats.
+(** Emitters and parsers for standard solver interchange formats.
 
-    [to_dimacs_cnf] writes the pure-CNF part of a formula in DIMACS CNF
+    [dimacs_cnf_string] writes the pure-CNF part of a formula in DIMACS CNF
     format (the input of black-box SAT solvers such as Chaff); it fails when
     the formula has PB constraints or an objective, because DIMACS CNF cannot
-    express them. [to_opb] writes the full mixed formula in OPB format (the
-    pseudo-Boolean competition format accepted by PBS-style solvers). *)
+    express them. [opb_string] writes the full mixed formula in OPB format
+    (the pseudo-Boolean competition format accepted by PBS-style solvers).
+    Checkpoint, cube and session digests hash the OPB text, so its bytes are
+    part of the format. *)
 
-val to_dimacs_cnf : Format.formatter -> Formula.t -> unit
+val dimacs_cnf_string : Formula.t -> string
 (** Raises [Invalid_argument] when the formula has PB constraints or an
     objective function. *)
 
-val to_opb : Format.formatter -> Formula.t -> unit
-(** Write clauses and PB constraints (and the objective, if any) in OPB
-    format. Clauses are written as [>= 1] cardinality constraints. *)
-
-val dimacs_cnf_string : Formula.t -> string
 val opb_string : Formula.t -> string
+(** Clauses and PB constraints (and the objective, if any) in OPB format.
+    Clauses are written as [>= 1] cardinality constraints. *)
+
+val to_opb : Format.formatter -> Formula.t -> unit
+(** Print {!opb_string}. *)
 
 val parse_dimacs_cnf : string -> Formula.t
 (** Parse DIMACS CNF text. Raises [Failure] on malformed input. *)

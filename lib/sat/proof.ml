@@ -35,44 +35,35 @@ let claim_of_string s =
     | None -> failwith ("proof: malformed claim: " ^ s))
   | _ -> failwith ("proof: malformed claim: " ^ s)
 
+let add_int buf n =
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (string_of_int n)
+
 let lits_to_buf buf lits =
-  List.iter (fun l -> Printf.bprintf buf " %d" (Lit.to_dimacs l)) lits;
+  List.iter (fun l -> add_int buf (Lit.to_dimacs l)) lits;
   Buffer.add_string buf " 0"
 
-let step_to_string = function
+let step_to_buf buf = function
   | Learn lits ->
-    let buf = Buffer.create 32 in
     Buffer.add_char buf 'l';
-    lits_to_buf buf lits;
-    Buffer.contents buf
+    lits_to_buf buf lits
   | Delete lits ->
-    let buf = Buffer.create 32 in
     Buffer.add_char buf 'd';
-    lits_to_buf buf lits;
-    Buffer.contents buf
+    lits_to_buf buf lits
   | Improve { model; cost } ->
-    let buf = Buffer.create (4 * Array.length model) in
-    Printf.bprintf buf "m %d" cost;
-    Array.iteri
-      (fun v b -> Printf.bprintf buf " %d" (if b then v + 1 else -(v + 1)))
-      model;
-    Buffer.add_string buf " 0";
-    Buffer.contents buf
+    Buffer.add_char buf 'm';
+    add_int buf cost;
+    Array.iteri (fun v b -> add_int buf (if b then v + 1 else -(v + 1))) model;
+    Buffer.add_string buf " 0"
   | Substitute pairs ->
-    let buf = Buffer.create 32 in
     Buffer.add_char buf 'x';
-    List.iter
-      (fun (a, b) ->
-        Printf.bprintf buf " %d %d" (Lit.to_dimacs a) (Lit.to_dimacs b))
-      pairs;
-    Buffer.add_string buf " 0";
-    Buffer.contents buf
+    lits_to_buf buf (List.concat_map (fun (a, b) -> [ a; b ]) pairs)
   | Eliminate { pivot; witness } ->
-    let buf = Buffer.create 64 in
-    Printf.bprintf buf "v %d %d" (Lit.to_dimacs pivot) (List.length witness);
-    List.iter (fun lits -> lits_to_buf buf lits) witness;
-    Buffer.contents buf
-  | Contradiction -> "u"
+    Buffer.add_char buf 'v';
+    add_int buf (Lit.to_dimacs pivot);
+    add_int buf (List.length witness);
+    List.iter (lits_to_buf buf) witness
+  | Contradiction -> Buffer.add_char buf 'u'
 
 type parsed = {
   p_formula : Formula.t option;
@@ -85,73 +76,75 @@ let write_file path ?formula ~claim t =
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc "c colib proof v1\n";
-      Printf.fprintf oc "s %s\n" (claim_to_string claim);
-      (match formula with
-      | None -> ()
-      | Some f ->
-        List.iter
-          (fun line ->
-            if String.trim line <> "" then Printf.fprintf oc "f %s\n" line)
-          (String.split_on_char '\n' (Output.opb_string f)));
+      Printf.fprintf oc "c colib proof v1\ns %s\n" (claim_to_string claim);
+      Option.iter
+        (fun f ->
+          (* OPB text has no blank lines and ends with a newline *)
+          let opb = Output.opb_string f in
+          let rec lines i =
+            match String.index_from_opt opb i '\n' with
+            | None -> ()
+            | Some j ->
+              output_string oc "f ";
+              output_substring oc opb i (j + 1 - i);
+              lines (j + 1)
+          in
+          lines 0)
+        formula;
+      let buf = Buffer.create 4096 in
       List.iter
         (fun s ->
-          output_string oc (step_to_string s);
-          output_char oc '\n')
+          Buffer.clear buf;
+          step_to_buf buf s;
+          Buffer.add_char buf '\n';
+          Buffer.output_buffer oc buf)
         (steps t))
 
 (* --- parsing --- *)
 
-let tokens line =
-  String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
+(* One line of the text, read in place from [pos] up to [stop]. *)
+type line = { text : string; mutable pos : int; stop : int }
 
-let parse_int tok =
-  match int_of_string_opt tok with
-  | Some n -> n
-  | None -> failwith ("proof: malformed integer: " ^ tok)
+(* the next blank-separated token, "" at the end of the line *)
+let token ln =
+  let blank i = match ln.text.[i] with ' ' | '\t' | '\r' -> true | _ -> false in
+  while ln.pos < ln.stop && blank ln.pos do
+    ln.pos <- ln.pos + 1
+  done;
+  let s = ln.pos in
+  while ln.pos < ln.stop && not (blank ln.pos) do
+    ln.pos <- ln.pos + 1
+  done;
+  String.sub ln.text s (ln.pos - s)
 
-(* a DIMACS literal list terminated by 0 *)
-let parse_lits toks =
-  let rec go acc = function
-    | [] -> failwith "proof: literal list missing terminating 0"
-    | [ "0" ] -> List.rev acc
-    | tok :: rest ->
-      let n = parse_int tok in
-      if n = 0 then failwith "proof: literal 0 before end of line"
-      else go (Lit.of_dimacs n :: acc) rest
+let next_int ln =
+  match token ln with
+  | "" -> None
+  | tok -> (
+    match int_of_string_opt tok with
+    | Some _ as n -> n
+    | None -> failwith ("proof: malformed integer: " ^ tok))
+
+let int_exn ln =
+  match next_int ln with Some n -> n | None -> failwith "proof: line ends early"
+
+(* DIMACS literals up to a terminating 0 *)
+let read_lits ln =
+  let rec go acc =
+    match next_int ln with
+    | None -> failwith "proof: literal list missing terminating 0"
+    | Some 0 -> List.rev acc
+    | Some n -> go (Lit.of_dimacs n :: acc)
   in
-  go [] toks
+  go []
 
-(* DIMACS literal pairs terminated by a single 0 *)
-let parse_pairs toks =
-  let rec go acc = function
-    | [] -> failwith "proof: substitution list missing terminating 0"
-    | [ "0" ] -> List.rev acc
-    | a :: b :: rest ->
-      let a = parse_int a and b = parse_int b in
-      if a = 0 || b = 0 then failwith "proof: literal 0 inside substitution"
-      else go ((Lit.of_dimacs a, Lit.of_dimacs b) :: acc) rest
-    | [ _ ] -> failwith "proof: dangling literal in substitution"
-  in
-  go [] toks
+let rec pairs = function
+  | a :: b :: rest -> (a, b) :: pairs rest
+  | [] -> []
+  | [ _ ] -> failwith "proof: dangling literal in substitution"
 
-(* [count] 0-terminated literal lists *)
-let parse_clause_list ~count toks =
-  let rec split acc cur = function
-    | rest when List.length acc = count ->
-      if rest <> [] then failwith "proof: trailing tokens after witness"
-      else List.rev acc
-    | [] -> failwith "proof: witness clause list truncated"
-    | "0" :: rest -> split (List.rev cur :: acc) [] rest
-    | tok :: rest ->
-      let n = parse_int tok in
-      if n = 0 then failwith "proof: malformed witness"
-      else split acc (Lit.of_dimacs n :: cur) rest
-  in
-  split [] [] toks
-
-let parse_model ~nvars toks =
-  let lits = parse_lits toks in
+let read_model ~nvars ln =
+  let lits = read_lits ln in
   let nvars =
     match nvars with
     | Some n -> n
@@ -166,53 +159,72 @@ let parse_model ~nvars toks =
     lits;
   model
 
+(* [f start stop] over every line of [text], without the newlines *)
+let iter_lines f text =
+  let n = String.length text in
+  let rec go i =
+    if i < n then begin
+      let j = Option.value (String.index_from_opt text i '\n') ~default:n in
+      f i j;
+      go (j + 1)
+    end
+  in
+  go 0
+
 let of_string text =
-  let lines = String.split_on_char '\n' text in
   (* first pass: claim + embedded formula *)
   let claim = ref None in
-  let fbuf = Buffer.create 256 in
-  List.iter
-    (fun line ->
-      if String.length line >= 2 && line.[0] = 'f' && line.[1] = ' ' then begin
-        Buffer.add_string fbuf (String.sub line 2 (String.length line - 2));
-        Buffer.add_char fbuf '\n'
-      end
-      else if String.length line >= 2 && line.[0] = 's' && line.[1] = ' ' then
-        claim := Some (claim_of_string (String.sub line 2 (String.length line - 2))))
-    lines;
+  let fbuf = Buffer.create 65536 in
+  iter_lines
+    (fun s e ->
+      if e - s >= 2 && text.[s + 1] = ' ' then
+        match text.[s] with
+        | 'f' ->
+          Buffer.add_substring fbuf text (s + 2) (e - s - 2);
+          Buffer.add_char fbuf '\n'
+        | 's' ->
+          claim := Some (claim_of_string (String.sub text (s + 2) (e - s - 2)))
+        | _ -> ())
+    text;
   let formula =
     if Buffer.length fbuf = 0 then None
     else Some (Output.parse_opb (Buffer.contents fbuf))
   in
   let nvars = Option.map Formula.num_vars formula in
-  (* second pass: steps *)
+  (* second pass: steps, one a line after its tag token *)
   let steps_rev = ref [] in
-  List.iter
-    (fun line ->
-      let line = String.trim line in
-      if line = "" then ()
-      else
-        match (line.[0], tokens line) with
-        | ('c' | 'f' | 's'), _ -> ()
-        | 'u', [ "u" ] -> steps_rev := Contradiction :: !steps_rev
-        | 'l', _ :: rest -> steps_rev := Learn (parse_lits rest) :: !steps_rev
-        | 'd', _ :: rest -> steps_rev := Delete (parse_lits rest) :: !steps_rev
-        | 'x', _ :: rest ->
-          steps_rev := Substitute (parse_pairs rest) :: !steps_rev
-        | 'v', _ :: pivot :: count :: rest ->
-          let pivot = Lit.of_dimacs (parse_int pivot) in
-          let count = parse_int count in
-          if count < 0 then failwith "proof: negative witness count"
-          else
-            steps_rev :=
-              Eliminate { pivot; witness = parse_clause_list ~count rest }
-              :: !steps_rev
-        | 'm', _ :: cost :: rest ->
-          let cost = parse_int cost in
-          steps_rev :=
-            Improve { model = parse_model ~nvars rest; cost } :: !steps_rev
-        | _ -> failwith ("proof: unrecognized line: " ^ line))
-    lines;
+  iter_lines
+    (fun s e ->
+      let ln = { text; pos = s; stop = e } in
+      let tag = token ln in
+      let step =
+        if tag = "" then None
+        else
+          match tag.[0] with
+          | 'c' | 'f' | 's' -> None
+          | 'u' when tag = "u" && next_int ln = None -> Some Contradiction
+          | 'l' -> Some (Learn (read_lits ln))
+          | 'd' -> Some (Delete (read_lits ln))
+          | 'x' -> Some (Substitute (pairs (read_lits ln)))
+          | 'v' ->
+            let pivot = int_exn ln in
+            let count = int_exn ln in
+            if pivot = 0 || count < 0 then failwith "proof: malformed witness";
+            let witness = List.init count (fun _ -> read_lits ln) in
+            Some (Eliminate { pivot = Lit.of_dimacs pivot; witness })
+          | 'm' ->
+            let cost = int_exn ln in
+            Some (Improve { model = read_model ~nvars ln; cost })
+          | _ ->
+            failwith ("proof: unrecognized line: " ^ String.sub text s (e - s))
+      in
+      Option.iter
+        (fun st ->
+          if next_int ln <> None then
+            failwith "proof: tokens after the terminating 0";
+          steps_rev := st :: !steps_rev)
+        step)
+    text;
   { p_formula = formula; p_claim = !claim; p_steps = List.rev !steps_rev }
 
 let read_file path =

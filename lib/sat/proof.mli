@@ -65,12 +65,6 @@ val claim_to_string : claim -> string
 val claim_of_string : string -> claim
 (** Raises [Failure] on malformed input. *)
 
-val step_to_string : step -> string
-(** One text line per step: [l <lits> 0] (learn), [d <lits> 0] (delete),
-    [m <cost> <model lits> 0] (improve), [x <a b ...> 0] (substitute,
-    literal pairs), [v <pivot> <n> <n 0-terminated clauses>] (eliminate),
-    [u] (contradiction); literals in DIMACS convention. *)
-
 type parsed = {
   p_formula : Formula.t option;  (** the embedded OPB formula, if any *)
   p_claim : claim option;
@@ -79,7 +73,11 @@ type parsed = {
 
 val write_file : string -> ?formula:Formula.t -> claim:claim -> t -> unit
 (** Write a self-contained proof file: a claim line [s <claim>], the formula
-    in OPB format on [f ]-prefixed lines, then one line per step. *)
+    in OPB format on [f ]-prefixed lines, then one text line per step:
+    [l <lits> 0] (learn), [d <lits> 0] (delete), [m <cost> <model lits> 0]
+    (improve), [x <a b ...> 0] (substitute, literal pairs),
+    [v <pivot> <n> <n 0-terminated clauses>] (eliminate), [u]
+    (contradiction); literals in DIMACS convention. *)
 
 val of_string : string -> parsed
 (** Parse the format written by {!write_file}. Raises [Failure] on malformed

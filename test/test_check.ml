@@ -537,7 +537,10 @@ let test_proof_deleted_unit_stays () =
     Formula.add_clause f [ Lit.negate a; Lit.negate b ];
     Formula.add_clause f [ a; c ];
     let drop_parents =
-      [ Proof.Delete [ Lit.negate a; b ]; Proof.Delete [ Lit.negate a; Lit.negate b ] ]
+      [
+        Proof.Delete [ Lit.negate a; b ];
+        Proof.Delete [ Lit.negate a; Lit.negate b ];
+      ]
     in
     check Alcotest.string "the forced units outlive the unit clause" "ok 5"
       (replay f
@@ -825,6 +828,27 @@ let test_proof_file_roundtrip () =
           (verifies f' claim parsed.Proof.p_steps)
       | _ -> Alcotest.fail "roundtrip lost the formula or the claim")
 
+(* a malformed proof file is a [Failure] the CLI turns into exit 2, never
+   another exception *)
+let test_proof_text_malformed () =
+  List.iter
+    (fun line ->
+      check Alcotest.bool ("rejects " ^ String.escaped line) true
+        (match Proof.of_string ("s unsat\n" ^ line ^ "\n") with
+        | _ -> false
+        | exception Failure _ -> true))
+    [
+      "l 1 2";
+      "l 1 0 2 0";
+      "l 1 x 0";
+      "x 1 0";
+      "v 0 0";
+      "v 1 2 1 0";
+      "m";
+      "u 1";
+      "q 1 0";
+    ]
+
 let () =
   Alcotest.run "check"
     [
@@ -883,6 +907,8 @@ let () =
             test_optimality_proof_and_claim_mutants;
           Alcotest.test_case "proof file roundtrip" `Quick
             test_proof_file_roundtrip;
+          Alcotest.test_case "malformed proof text rejected" `Quick
+            test_proof_text_malformed;
         ] );
       ( "chaos",
         [

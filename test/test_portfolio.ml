@@ -80,6 +80,29 @@ let test_frame_reset_preserves_surplus () =
   | Frame.Awaiting -> Alcotest.fail "reset must not drop buffered surplus"
   | Frame.Failed _ -> Alcotest.fail "surplus must stay decodable"
 
+let test_read_frame_stops_at_frame_end () =
+  (* a daemon answering from its cache sends Accepted and Result back to
+     back; both can land in one read, and the second [read_frame] call must
+     still find its frame in the socket *)
+  let r, w = Unix.pipe () in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close r;
+      Unix.close w)
+    (fun () ->
+      let both = Frame.encode "first" ^ Frame.encode "second" in
+      check Alcotest.int "one write" (String.length both)
+        (Unix.write_substring w both 0 (String.length both));
+      let read () =
+        match
+          Frame.read_frame ~deadline:(Colib_clock.Mclock.now () +. 2.0) r
+        with
+        | Ok p -> p
+        | Error e -> Alcotest.fail (Frame.read_error_to_string e)
+      in
+      check Alcotest.string "first frame" "first" (read ());
+      check Alcotest.string "second frame" "second" (read ()))
+
 let test_share_codec () =
   (* the clause-share payload is plain text, not Marshal: a forged or
      garbled payload decodes to None, never to an exception, because it
@@ -459,6 +482,8 @@ let () =
             test_frame_rejects_corruption;
           Alcotest.test_case "reset preserves surplus" `Quick
             test_frame_reset_preserves_surplus;
+          Alcotest.test_case "read_frame stops at the frame end" `Quick
+            test_read_frame_stops_at_frame_end;
           Alcotest.test_case "share codec: text in, None on junk" `Quick
             test_share_codec;
         ] );

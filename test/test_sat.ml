@@ -292,7 +292,8 @@ let test_opb_golden () =
   check Alcotest.string "reparsed text prints the same" golden
     (Output.opb_string (Output.parse_opb golden));
   let g =
-    Lazy.force (Colib_graph.Benchmarks.find "queen5_5").Colib_graph.Benchmarks.graph
+    Lazy.force
+      (Colib_graph.Benchmarks.find "queen5_5").Colib_graph.Benchmarks.graph
   in
   let enc = Colib_encode.Encoding.encode g ~k:20 in
   Colib_encode.Sbp.add Colib_encode.Sbp.Sc enc;
