@@ -1,4 +1,4 @@
-.PHONY: all build test check bench bench-gate bench-dist examples fuzz proof-check serve-smoke serve-bench bench-session soak clean
+.PHONY: all build test check bench bench-gate bench-dist examples fuzz proof-check serve-smoke perfbench-smoke soak clean
 
 all: build
 
@@ -78,32 +78,23 @@ proof-check: build
 serve-smoke: build
 	sh scripts/serve_smoke.sh
 
-# serve-path latency bench: concurrent clients against the supervised
-# daemon in three phases — warm pool + result cache (with a mid-run
-# daemon SIGKILL and seeded pool-worker kills), warm pool without cache,
-# and the cold fork-per-job path — writing p50/p95/p99, warm-vs-cold
-# ratios, cache hit rate, and shed rate to BENCH_SERVE.json.
-# Knobs: `make serve-bench SEED=7 CLIENTS=8 REQUESTS=50`.
-SEED ?= 1
-CLIENTS ?= 6
-REQUESTS ?= 25
-OUT ?= BENCH_SERVE.json
-serve-bench: build
-	SEED=$(SEED) CLIENTS=$(CLIENTS) REQUESTS=$(REQUESTS) OUT=$(OUT) \
-	  sh scripts/serve_bench.sh
-
-# incremental-session latency bench: replay seeded dynamic-graph edit
-# streams and measure warm (persistent session, learned clauses kept)
-# vs cold (from-scratch re-solve) query latency over identical states;
-# both sides must agree on chi and certify. Writes p50/p95/p99, the
-# cold-over-warm ratio, and the incremental-serve fraction to
-# BENCH_SESSION.json. Knobs: `make bench-session SEED=7 EDITS=60`.
-GRAPHS ?= 5
-EDITS ?= 40
-SESSION_OUT ?= BENCH_SESSION.json
-bench-session: build
-	SEED=$(SEED) GRAPHS=$(GRAPHS) EDITS=$(EDITS) OUT=$(SESSION_OUT) \
-	  sh scripts/session_bench.sh
+# benchmark smoke: ten seconds of each perfbench workload (oneshot,
+# session, serve; see perfbench/README.md). Every workload checks its own
+# outputs: proofs replayed, colorings certified, session answers matched
+# against a from-scratch exact solve, a verdict for every served job. Red
+# unless each result line reports correct, at least one attempted
+# operation and no failure.
+perfbench-smoke: build
+	@set -e; for w in oneshot session serve; do \
+	  echo "== perfbench $$w"; \
+	  line=$$(dune exec ./perfbench/perfbench.exe -- --workload $$w \
+	    --seed 1 --seconds 10 --trace 0 | tail -n 1); \
+	  echo "$$line"; \
+	  echo "$$line" | grep -q \
+	    '^{"correct": true, "attempted": [1-9][0-9]*, "failed": 0,' \
+	    || { echo "perfbench-smoke: $$w failed"; exit 1; }; \
+	done; \
+	echo "perfbench-smoke: all workloads correct"
 
 # randomized chaos soak for the coloring service: a seeded schedule of
 # client load against a TWO-daemon fleet routed through the balancer,

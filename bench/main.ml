@@ -9,7 +9,6 @@
      table5  — per-instance queens results, all engines (paper Table 5)
      figure1 — the worked 4-vertex example (paper Figure 1)
      ablation— design-choice ablations (ours; see DESIGN.md)
-     micro   — bechamel micro-benchmarks of the pipeline stages
      all     — everything above
 
    Absolute numbers differ from the paper (different machines, different
@@ -67,7 +66,6 @@ type options = {
   daemon : string option;
       (* submit sweep cells to these coloring daemons (comma-separated
          socket specs, balanced with health-probed rotation) *)
-  inprocess : bool;       (* run the engines' inprocessing ladder *)
 }
 
 (* ---------- signal handling ----------
@@ -160,7 +158,7 @@ type cell_stats = {
   cs_propagations : int;
   cs_learned : int;
   cs_restarts : int;
-  (* inprocessing counters (0 when the ladder is disabled) *)
+  (* inprocessing counters *)
   cs_subsumed : int;
   cs_eliminated : int;
   cs_probed : int;
@@ -180,7 +178,7 @@ let logs_proof = function
    like the paper's totals. Every settled answer (optimal or UNSAT) of a
    proof-logging engine is replayed through the independent RUP checker; a
    rejected proof aborts the run like a certification failure. *)
-let timed_solve ?ckpt ?(inprocess = true) engine f timeout =
+let timed_solve ?ckpt engine f timeout =
   let t0 = Colib_clock.Mclock.now () in
   let budget =
     {
@@ -226,7 +224,7 @@ let timed_solve ?ckpt ?(inprocess = true) engine f timeout =
       | Some sn -> Some (Proof.of_steps sn.Checkpoint.sn_proof)
       | None -> Some (Proof.create ())
   in
-  let eng = Engine.create ?proof:trace ~inprocess engine (Formula.num_vars f) in
+  let eng = Engine.create ?proof:trace engine (Formula.num_vars f) in
   Engine.add_formula eng f;
   let r =
     match Formula.objective f with
@@ -397,16 +395,16 @@ let cell_key ~section ~timeout c =
 
 (* self-contained so it can run inside a forked worker: rebuilds the
    formula from the instance name rather than sharing parent state *)
-let solve_cell ?ckpt ?inprocess ~node_budget ~timeout c =
+let solve_cell ?ckpt ~node_budget ~timeout c =
   let b = Benchmarks.find c.c_name in
   let g = Lazy.force b.Benchmarks.graph in
   let f, _ =
     build_formula ~with_isd:c.c_isd ~node_budget g ~k:c.c_k ~sbp:c.c_sbp
   in
-  timed_solve ?ckpt ?inprocess c.c_engine f timeout
+  timed_solve ?ckpt c.c_engine f timeout
 
 (* every sweep cell measured (or reloaded from the journal) this run, in
-   completion order — dumped to BENCH_PR3.json when the run finishes *)
+   completion order — dumped to BENCH.json when the run finishes *)
 let measured_cells : (string * cell_stats) list ref = ref []
 
 let record_measured k cs = measured_cells := (k, cs) :: !measured_cells
@@ -594,10 +592,7 @@ let run_cells ~section opts cells =
               cache := Some (ck, f);
               f
           in
-          let r =
-            timed_solve ~ckpt:(ckpt c) ~inprocess:opts.inprocess c.c_engine f
-              opts.timeout
-          in
+          let r = timed_solve ~ckpt:(ckpt c) c.c_engine f opts.timeout in
           if not (interrupt_requested ()) then finish (key c) r
         end)
       todo
@@ -641,8 +636,8 @@ let run_cells ~section opts cells =
                  }
              end)
          (fun i ->
-           solve_cell ~ckpt:(ckpt arr.(i)) ~inprocess:opts.inprocess
-             ~node_budget:opts.node_budget ~timeout:opts.timeout arr.(i))
+           solve_cell ~ckpt:(ckpt arr.(i)) ~node_budget:opts.node_budget
+             ~timeout:opts.timeout arr.(i))
          indices)
   end);
   exit_interrupted ();
@@ -958,76 +953,6 @@ let ablation opts =
     [ "anna"; "miles250"; "queen6_6" ]
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks *)
-
-let micro _opts =
-  hr "Micro-benchmarks (bechamel; ns/run of each pipeline stage)";
-  let open Bechamel in
-  let open Toolkit in
-  let myciel5 = Generators.mycielski 5 in
-  let q6 = Generators.queens ~rows:6 ~cols:6 in
-  let t_encode =
-    Test.make ~name:"encode myciel5 K=20" (Staged.stage (fun () ->
-        ignore (Sys.opaque_identity (Encoding.encode myciel5 ~k:20))))
-  in
-  let t_sbp =
-    Test.make ~name:"NU+SC SBPs myciel5 K=20" (Staged.stage (fun () ->
-        let enc = Encoding.encode myciel5 ~k:20 in
-        Sbp.add Sbp.Nu_sc enc))
-  in
-  let enc_fixed = Encoding.encode q6 ~k:8 in
-  let t_fgraph =
-    Test.make ~name:"formula graph queen6_6 K=8" (Staged.stage (fun () ->
-        ignore (Sys.opaque_identity (Formula_graph.build enc_fixed.Encoding.formula))))
-  in
-  let fg = Formula_graph.build enc_fixed.Encoding.formula in
-  let t_refine =
-    Test.make ~name:"initial refinement queen6_6 K=8" (Staged.stage (fun () ->
-        ignore (Sys.opaque_identity (Colib_symmetry.Refine.initial (Formula_graph.graph fg)))))
-  in
-  let t_detect =
-    Test.make ~name:"automorphisms queen6_6 K=8" (Staged.stage (fun () ->
-        ignore (Sys.opaque_identity (Auto.automorphisms (Formula_graph.graph fg)))))
-  in
-  let q5 = Generators.queens ~rows:5 ~cols:5 in
-  let t_solve =
-    Test.make ~name:"solve queen5_5 K=6 (SC+isd)" (Staged.stage (fun () ->
-        let f, _ = build_formula ~with_isd:true ~node_budget:50_000 q5 ~k:6 ~sbp:Sbp.Sc in
-        ignore (Sys.opaque_identity (Optimize.solve_formula Types.Pbs2 f (Types.within_seconds 10.0)))))
-  in
-  let t_dsatur =
-    Test.make ~name:"DSATUR miles250" (Staged.stage (fun () ->
-        let g = Lazy.force (Benchmarks.find "miles250").Benchmarks.graph in
-        ignore (Sys.opaque_identity (Dsatur.dsatur g))))
-  in
-  let tests =
-    Test.make_grouped ~name:"colib"
-      [ t_encode; t_sbp; t_fgraph; t_refine; t_detect; t_solve; t_dsatur ]
-  in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~stabilize:false ()
-    in
-    let raw = Benchmark.all cfg instances tests in
-    Analyze.all ols Instance.monotonic_clock raw
-  in
-  let results = benchmark () in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  List.iter
-    (fun (name, ols) ->
-      let est =
-        match Analyze.OLS.estimates ols with
-        | Some (t :: _) -> Printf.sprintf "%12.0f ns/run (%8.3f ms)" t (t /. 1e6)
-        | _ -> "            n/a"
-      in
-      Printf.printf "  %-32s %s\n" name est)
-    (List.sort compare rows)
-
-(* ------------------------------------------------------------------ *)
 (* atomic table emission: with --out-dir each section prints into
    <dir>/<section>.txt.tmp with stdout redirected, and the file is renamed
    to its final name only after the section completes. An interrupt,
@@ -1069,15 +994,15 @@ let run_section opts section =
   let sections =
     match section with
     | "table1" | "table2" | "table3" | "table4" | "table5" | "figure1"
-    | "ablation" | "micro" ->
+    | "ablation" ->
       [ section ]
     | "all" ->
       [ "table1"; "figure1"; "table2"; "table3"; "table4"; "table5";
-        "ablation"; "micro" ]
+        "ablation" ]
     | s ->
       Printf.eprintf
         "unknown section %S (expected table1..table5, figure1, ablation, \
-         micro, all)\n"
+         all)\n"
         s;
       exit 1
   in
@@ -1092,8 +1017,7 @@ let run_section opts section =
           | "table4" -> table34 ~k:30 opts
           | "table5" -> table5 opts
           | "figure1" -> figure1 opts
-          | "ablation" -> ablation opts
-          | _ -> micro opts))
+          | _ -> ablation opts))
     sections
 
 let mkdir_p dir =
@@ -1117,16 +1041,11 @@ let json_escape s =
     s;
   Buffer.contents b
 
-(* [schema]: stamped into the canonical BENCH.json so downstream readers can
-   detect format changes; the legacy BENCH_PR3.json stays untagged for
-   byte-compatibility with existing consumers *)
-let write_bench_json ?schema path =
+(* the schema tag lets downstream readers detect format changes *)
+let write_bench_json path =
   let cells = List.rev !measured_cells in
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  (match schema with
-  | Some s -> Printf.bprintf b "  \"schema\": \"%s\",\n" (json_escape s)
-  | None -> ());
+  Buffer.add_string b "{\n  \"schema\": \"colib-bench-cells/1\",\n";
   Buffer.add_string b "  \"cells\": [";
   List.iteri
     (fun i (k, cs) ->
@@ -1203,16 +1122,6 @@ let () =
             "Write each section's table atomically to $(docv)/<section>.txt \
              (temp file + rename) instead of stdout.")
   in
-  let no_inprocessing =
-    Arg.(
-      value & flag
-      & info [ "no-inprocessing" ]
-          ~doc:
-            "Disable the engines' inprocessing ladder (subsumption, bounded \
-             variable elimination, probing, equivalent-literal \
-             substitution) for every sweep cell — the before side of the \
-             BENCH_INPROC.json delta.")
-  in
   let daemon =
     Arg.(
       value
@@ -1228,8 +1137,7 @@ let () =
              survivors. Cell keys double as job ids, so re-running a sweep \
              re-delivers finished cells from the fleet's journals.")
   in
-  let run section timeout node_budget only jobs resume run_id out_dir daemon
-      no_inprocessing =
+  let run section timeout node_budget only jobs resume run_id out_dir daemon =
     install_signal_handlers ();
     mkdir_p "runs";
     let journal_path = Filename.concat "runs" (run_id ^ ".jsonl") in
@@ -1240,15 +1148,14 @@ let () =
     let ckpt_dir = Filename.concat "runs" (run_id ^ ".ckpt") in
     let opts =
       { timeout; node_budget; only; jobs; journal; out_dir; ckpt_dir; resume;
-        daemon; inprocess = not no_inprocessing }
+        daemon }
     in
     let t0 = Colib_clock.Mclock.now () in
     (try run_section opts section
      with Failure m when contains_substring m cert_failure_marker ->
        Printf.eprintf "bench: %s\n%!" m;
        exit 3);
-    write_bench_json "BENCH_PR3.json";
-    write_bench_json ~schema:"colib-bench-cells/1" "BENCH.json";
+    write_bench_json "BENCH.json";
     Printf.printf "\ntotal bench wall time: %.1fs\n" (Colib_clock.Mclock.now () -. t0)
   in
   let cmd =
@@ -1256,6 +1163,6 @@ let () =
       (Cmd.info "bench" ~doc:"regenerate the paper's tables and figures")
       Term.(
         const run $ section $ timeout $ node_budget $ only $ jobs $ resume
-        $ run_id $ out_dir $ daemon $ no_inprocessing)
+        $ run_id $ out_dir $ daemon)
   in
   exit (Cmd.eval cmd)

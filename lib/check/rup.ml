@@ -169,8 +169,14 @@ let grow a n fill =
     b
   end
 
-(* Permanently add a clause, then establish its root-level consequences. *)
+(* Permanently add a clause, then establish its root-level consequences. A
+   repeated literal is stored once, so [~a; ~a] enters as the unit [~a]: a
+   second occurrence would keep its count from ever reaching 1. *)
 let add_clause_perm st lits =
+  let key = clause_key lits in
+  let lits =
+    if List.length key < Array.length lits then Array.of_list key else lits
+  in
   let c = st.nclauses in
   st.nclauses <- c + 1;
   st.lits <- grow st.lits c [||];
@@ -194,9 +200,9 @@ let add_clause_perm st lits =
         if v = 1 then sat := true else unit_lit := l)
     lits;
   st.count.(c) <- !n;
-  (match Hashtbl.find_opt st.index (clause_key lits) with
+  (match Hashtbl.find_opt st.index key with
   | Some r -> r := c :: !r
-  | None -> Hashtbl.add st.index (clause_key lits) (ref [ c ]));
+  | None -> Hashtbl.add st.index key (ref [ c ]));
   if not (st.contra || !sat) then
     if !n = 0 then st.contra <- true
     else if !n = 1 then begin

@@ -13,7 +13,9 @@ let solve ?(node_limit = 5_000_000) ?deadline ?cancel g =
   let n = Graph.num_vertices g in
   if n = 0 then Exact (0, [||])
   else begin
-    let clique = Clique.greedy g in
+    (* capped, because max_clique polls no deadline; a cut search still
+       returns a clique, so the bound and the seed below stay sound *)
+    let clique = Clique.max_clique ~node_limit:1_000 g in
     let lower = Array.length clique in
     let heuristic = Dsatur.dsatur g in
     let heuristic2 = Dsatur.smallest_last g in

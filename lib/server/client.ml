@@ -200,40 +200,40 @@ let inject_fault ~socket fault (job : Frame.job) =
 (* ------------------------------------------------------------------ *)
 (* The retry loop: capped exponential backoff with deterministic jitter.
    delay(i) = min cap (base * 2^i) * (0.5 + u) with u uniform in [0,1)
-   from a seeded PRNG, so retry storms from many clients decorrelate while
-   tests stay reproducible. *)
+   from a PRNG seeded by [jitter_seed] and [key], so retry storms from many
+   clients decorrelate while tests stay reproducible. [attempt i] runs
+   attempt number [i]. *)
 
 type sleeper = float -> unit
 
-let submit ?(retries = 4) ?(backoff = 0.1) ?(backoff_cap = 2.0)
-    ?(jitter_seed = 0) ?(reply_slack = 30.0) ?chaos
-    ?(sleep : sleeper = Unix.sleepf) ?on_attempt ~socket (job : Frame.job) =
+let with_retries ?(retries = 4) ?(backoff = 0.1) ?(backoff_cap = 2.0)
+    ?(jitter_seed = 0) ?(sleep : sleeper = Unix.sleepf) ~key attempt =
   Frame.ignore_sigpipe ();
-  let rng = Random.State.make [| jitter_seed; Hashtbl.hash job.Frame.job_id |] in
-  let rec attempt i last =
+  let rng = Random.State.make [| jitter_seed; Hashtbl.hash key |] in
+  let rec go i last =
     if i > retries then Error { attempts = i; last }
-    else begin
-      (match on_attempt with Some f -> f i | None -> ());
-      let outcome =
-        match chaos with
-        | Some plan -> (
-          match Chaos.net_fault_for plan i with
-          | Some fault -> inject_fault ~socket fault job
-          | None -> one_attempt ~socket ~reply_slack job)
-        | None -> one_attempt ~socket ~reply_slack job
-      in
-      match outcome with
+    else
+      match attempt i with
       | Ok r -> Ok r
       | Error f when transient f && i < retries ->
         let base = backoff *. (2.0 ** float_of_int i) in
-        let delay = min backoff_cap base *. (0.5 +. Random.State.float rng 1.0)
+        let delay =
+          min backoff_cap base *. (0.5 +. Random.State.float rng 1.0)
         in
         sleep delay;
-        attempt (i + 1) f
+        go (i + 1) f
       | Error f -> Error { attempts = i + 1; last = f }
-    end
   in
-  attempt 0 (Unreachable "no attempt made")
+  go 0 (Unreachable "no attempt made")
+
+let submit ?retries ?backoff ?backoff_cap ?jitter_seed ?(reply_slack = 30.0)
+    ?chaos ?sleep ?on_attempt ~socket (job : Frame.job) =
+  with_retries ?retries ?backoff ?backoff_cap ?jitter_seed ?sleep
+    ~key:job.Frame.job_id (fun i ->
+      (match on_attempt with Some f -> f i | None -> ());
+      match Option.bind chaos (fun plan -> Chaos.net_fault_for plan i) with
+      | Some fault -> inject_fault ~socket fault job
+      | None -> one_attempt ~socket ~reply_slack job)
 
 let ping ?(timeout = 5.0) ~socket () =
   Frame.ignore_sigpipe ();
@@ -280,26 +280,6 @@ let health ?(timeout = 5.0) ~socket () =
 
 type sess_ack = { ack_seq : int; ack_replayed : bool }
 
-let with_retries ?(retries = 4) ?(backoff = 0.1) ?(backoff_cap = 2.0)
-    ?(jitter_seed = 0) ?(sleep : sleeper = Unix.sleepf) ~key attempt =
-  Frame.ignore_sigpipe ();
-  let rng = Random.State.make [| jitter_seed; Hashtbl.hash key |] in
-  let rec go i last =
-    if i > retries then Error { attempts = i; last }
-    else
-      match attempt () with
-      | Ok r -> Ok r
-      | Error f when transient f && i < retries ->
-        let base = backoff *. (2.0 ** float_of_int i) in
-        let delay =
-          min backoff_cap base *. (0.5 +. Random.State.float rng 1.0)
-        in
-        sleep delay;
-        go (i + 1) f
-      | Error f -> Error { attempts = i + 1; last = f }
-  in
-  go 0 (Unreachable "no attempt made")
-
 (* one session exchange; [classify] maps the typed response to the
    caller's result, after the failure taxonomy is peeled off *)
 let sess_exchange ~socket ~timeout req classify =
@@ -334,7 +314,7 @@ let sess_open ?retries ?backoff ?backoff_cap ?jitter_seed ?sleep
     ?(timeout = 10.0) ?(lease = 0.0) ~socket ~sid ~vertices ~colors ~edges ()
     =
   with_retries ?retries ?backoff ?backoff_cap ?jitter_seed ?sleep ~key:sid
-    (fun () ->
+    (fun _ ->
       sess_exchange ~socket ~timeout
         (Frame.Sess_open
            {
@@ -350,7 +330,7 @@ let sess_edit ?retries ?backoff ?backoff_cap ?jitter_seed ?sleep
     ?(timeout = 10.0) ~socket ~sid ~seq edit =
   let op = Colib_session.Session.edit_to_string edit in
   with_retries ?retries ?backoff ?backoff_cap ?jitter_seed ?sleep ~key:sid
-    (fun () ->
+    (fun _ ->
       sess_exchange ~socket ~timeout
         (Frame.Sess_edit { se_sid = sid; se_seq = seq; se_op = op })
         ack_of)
@@ -358,7 +338,7 @@ let sess_edit ?retries ?backoff ?backoff_cap ?jitter_seed ?sleep
 let sess_query ?retries ?backoff ?backoff_cap ?jitter_seed ?sleep
     ?(reply_slack = 30.0) ?(budget = 0.0) ~socket ~sid ~seq () =
   with_retries ?retries ?backoff ?backoff_cap ?jitter_seed ?sleep ~key:sid
-    (fun () ->
+    (fun _ ->
       sess_exchange ~socket
         ~timeout:((if budget > 0.0 then budget else 30.0) +. reply_slack)
         (Frame.Sess_query { sq_sid = sid; sq_seq = seq; sq_budget = budget })
@@ -369,6 +349,6 @@ let sess_query ?retries ?backoff ?backoff_cap ?jitter_seed ?sleep
 let sess_close ?retries ?backoff ?backoff_cap ?jitter_seed ?sleep
     ?(timeout = 10.0) ~socket ~sid () =
   with_retries ?retries ?backoff ?backoff_cap ?jitter_seed ?sleep ~key:sid
-    (fun () ->
+    (fun _ ->
       sess_exchange ~socket ~timeout (Frame.Sess_close { sc_sid = sid })
         ack_of)

@@ -434,9 +434,9 @@ let replay f steps =
 
 let fresh_lits f n = List.init n (fun _ -> Lit.pos (Formula.fresh_var f))
 
-(* A repeated literal is one more occurrence: the learned clause is checked
-   as the set it denotes, it propagates inside a later RUP check, and a
-   [Delete] of the set removes it with every occurrence. *)
+(* A repeated literal counts once: the learned clause is checked and stored
+   as the set it denotes, so it propagates (even as a unit) inside a later
+   RUP check, and a [Delete] of the set removes it. *)
 let test_proof_duplicate_literal () =
   let f = Formula.create () in
   let x, y, z, w =
@@ -459,7 +459,11 @@ let test_proof_duplicate_literal () =
   check Alcotest.string "deleting the set removes every occurrence"
     "step 2 is not derivable by unit propagation"
     (replay f
-       [ Proof.Learn [ x; x; y ]; Proof.Delete [ y; x ]; Proof.Learn [ x ] ])
+       [ Proof.Learn [ x; x; y ]; Proof.Delete [ y; x ]; Proof.Learn [ x ] ]);
+  let f, a, _ = refutable_formula () in
+  check Alcotest.string "a repeated unit propagates" "ok 2 contradiction"
+    (replay f
+       [ Proof.Learn [ Lit.negate a; Lit.negate a ]; Proof.Contradiction ])
 
 (* A tautology is trivially entailed; it joins the database, never
    propagates, and can be deleted again. *)

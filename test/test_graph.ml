@@ -428,6 +428,26 @@ let test_exact_dsatur_deadline_now () =
   | Exact_dsatur.Exact _ ->
     Alcotest.fail "expired deadline must not report an exact answer"
 
+let test_exact_dsatur_clique_seed () =
+  (* an interval graph with chi = omega = 5 whose greedy clique has only 4
+     vertices: seeded with that, the search cannot prove 5 before its node
+     budget runs out, so the lower bound must come from a (capped) exact
+     clique search *)
+  let g =
+    Generators.interval_conflicts
+      [ (92, 103); (40, 52); (69, 80); (94, 97); (10, 13); (62, 69); (7, 12);
+        (11, 16); (14, 20); (11, 14); (96, 105); (7, 12); (67, 71); (38, 49);
+        (32, 36); (73, 80); (85, 92); (90, 95); (51, 62); (22, 34); (86, 95);
+        (81, 87); (73, 83); (83, 89); (59, 67); (12, 22); (35, 44) ]
+  in
+  check Alcotest.int "greedy clique" 4 (Array.length (Clique.greedy g));
+  match Exact_dsatur.solve g with
+  | Exact_dsatur.Exact (c, coloring) ->
+    check Alcotest.int "chi" 5 c;
+    check Alcotest.bool "proper" true (Graph.is_proper_coloring g coloring)
+  | Exact_dsatur.Bounds (lb, ub, _, _) ->
+    Alcotest.failf "expected Exact 5, got Bounds (%d, %d)" lb ub
+
 let prop_exact_dsatur_matches_brute =
   QCheck.Test.make ~name:"exact DSATUR = brute force" ~count:40 graph_arb
     (fun (n, m, seed) ->
@@ -550,6 +570,8 @@ let () =
           Alcotest.test_case "budget" `Quick test_exact_dsatur_budget;
           Alcotest.test_case "deadline == now cuts at entry" `Quick
             test_exact_dsatur_deadline_now;
+          Alcotest.test_case "greedy clique below omega" `Quick
+            test_exact_dsatur_clique_seed;
           qtest prop_exact_dsatur_matches_brute;
         ] );
       ( "benchmarks",

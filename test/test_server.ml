@@ -755,6 +755,49 @@ let test_pool_cache_hit () =
   check Alcotest.int "one cache hit" 1 h.Frame.h_cache_hits;
   check Alcotest.int "one cache miss" 1 h.Frame.h_cache_misses
 
+let test_cold_path_no_cache () =
+  (* no pool, no cache: every job takes the cold fork path (also where the
+     daemon falls back while the pool's breaker is open), and a repeated
+     instance under a new id solves again rather than hitting a cache *)
+  let paths = fresh_paths "coldnocache" in
+  let socket, journal_path, _ = paths in
+  let pid = start_daemon (daemon_cfg ~pool_size:0 ~cache:false paths) in
+  Fun.protect ~finally:(fun () -> stop_daemon pid) @@ fun () ->
+  let myciel4 =
+    { (job ~id:"cn-3" ()) with
+      Frame.dimacs = Dimacs_col.to_string (Generators.mycielski 4) }
+  in
+  let jobs = [ (job ~id:"cn-1" (), 4); (job ~id:"cn-2" (), 4); (myciel4, 5) ] in
+  List.iter
+    (fun (j, chi) ->
+      let id = j.Frame.job_id in
+      let r = submit_ok ~socket j in
+      check Alcotest.string (id ^ " reply under its own id") id r.Frame.r_job_id;
+      check Alcotest.string (id ^ " optimal") "optimal" r.Frame.r_outcome;
+      check (Alcotest.option Alcotest.int) (id ^ " chi") (Some chi)
+        r.Frame.r_colors;
+      check Alcotest.bool (id ^ " certified") true r.Frame.r_certified;
+      check Alcotest.bool (id ^ " not from a cache") false
+        (contains_substring r.Frame.r_detail "cache"))
+    jobs;
+  let h = health_ok ~socket () in
+  check Alcotest.int "no cache hit" 0 h.Frame.h_cache_hits;
+  check Alcotest.int "no warm worker" 0 h.Frame.h_pool_warm;
+  (* exactly one verdict per job: one terminal record each *)
+  let journal = Journal.load journal_path in
+  List.iter
+    (fun (j, _) ->
+      let id = j.Frame.job_id in
+      let done_ =
+        List.filter
+          (fun r ->
+            List.assoc_opt "key" r = Some id
+            && List.assoc_opt "state" r = Some "done")
+          (Journal.records journal)
+      in
+      check Alcotest.int (id ^ " journaled done once") 1 (List.length done_))
+    jobs
+
 let test_pool_cache_tamper () =
   (* a forged cache entry in the journal (append wins per key) must be
      rejected by delivery-time re-certification and the job re-solved —
@@ -1674,6 +1717,8 @@ let () =
             test_pool_recycling;
           Alcotest.test_case "killed worker never loses the job" `Quick
             test_pool_worker_killed;
+          Alcotest.test_case "cold path, cache off: one verdict per job"
+            `Quick test_cold_path_no_cache;
         ] );
       ( "resource",
         [
